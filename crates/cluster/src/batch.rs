@@ -83,6 +83,38 @@ fn sq_norm(v: &[f32]) -> f32 {
     v.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>() as f32
 }
 
+/// The f64 moments of one row, accumulated in exactly the order
+/// `stats::pearson` uses, so a distance built from cached moments is
+/// bitwise-equal to [`Objective::distance`].
+#[derive(Clone, Copy, Default)]
+pub(crate) struct RowMoments {
+    pub(crate) mean: f64,
+    /// `‖x − mean‖ = sqrt(Σ (x − mean)²)`.
+    pub(crate) norm: f64,
+    /// Whether the row is (numerically) constant under the shared
+    /// scale-aware [`stats::zero_variance`] floor; its correlation is 0.
+    pub(crate) flat: bool,
+}
+
+impl RowMoments {
+    pub(crate) fn of(v: &[f32]) -> RowMoments {
+        let n = v.len() as f64;
+        let mean = v.iter().map(|&x| x as f64).sum::<f64>() / n;
+        let mut sxx = 0.0f64;
+        let mut max_abs = 0.0f64;
+        for &x in v {
+            let d = x as f64 - mean;
+            sxx += d * d;
+            max_abs = max_abs.max((x as f64).abs());
+        }
+        RowMoments {
+            mean,
+            norm: sxx.sqrt(),
+            flat: stats::zero_variance(sxx, v.len(), max_abs),
+        }
+    }
+}
+
 /// Writes `(v − mean) / ‖v − mean‖` into `out`; all-zero when `v` is
 /// (numerically) constant, matching `stats::pearson`'s zero-variance
 /// convention — the shared scale-aware [`stats::zero_variance`] floor, so a
@@ -90,63 +122,141 @@ fn sq_norm(v: &[f32]) -> f32 {
 /// `sxx` tiny but positive) normalises to zero instead of a noise-only
 /// garbage unit vector. Statistics accumulate in f64 like the scalar path.
 fn center_normalise(v: &[f32], out: &mut [f32]) {
-    let n = v.len() as f64;
-    let mean = v.iter().map(|&x| x as f64).sum::<f64>() / n;
-    let mut sxx = 0.0f64;
-    let mut max_abs = 0.0f64;
-    for &x in v {
-        let d = x as f64 - mean;
-        sxx += d * d;
-        max_abs = max_abs.max((x as f64).abs());
-    }
-    if stats::zero_variance(sxx, v.len(), max_abs) {
+    write_unit(v, &RowMoments::of(v), out);
+}
+
+fn write_unit(v: &[f32], m: &RowMoments, out: &mut [f32]) {
+    if m.flat {
         out.fill(0.0);
         return;
     }
-    let inv = 1.0 / sxx.sqrt();
+    let inv = 1.0 / m.norm;
     for (o, &x) in out.iter_mut().zip(v) {
-        *o = ((x as f64 - mean) * inv) as f32;
+        *o = ((x as f64 - m.mean) * inv) as f32;
     }
 }
 
-/// Runs the blocked distance sweep over `segments: [n, p]`, invoking
-/// `visit(first_row, rows, block)` with each finished `[rows, k]` distance
-/// block (row-major, reused buffer — copy out what must outlive the call).
-fn for_each_block<F>(segments: &Tensor, cache: &CenterCache, mut visit: F)
+/// Per-segment data that never changes during a fit, computed once:
+/// `‖x‖²`, and — when the objective has a correlation term — the f64
+/// moments and the centred-normalised row `x̂`. The assignment sweeps, the
+/// k-means++ distances and the prototype update all read it instead of
+/// recomputing it per iteration.
+pub(crate) struct SegmentStats<'a> {
+    /// The segments themselves, `[n, p]`.
+    pub(crate) segments: &'a Tensor,
+    /// `‖x_i‖²`, f64-accumulated.
+    sq_norms: Vec<f32>,
+    /// Row moments; empty when `alpha == 0`.
+    moments: Vec<RowMoments>,
+    /// `x̂: [n, p]`, constant rows zero; empty when `alpha == 0`.
+    unit: Vec<f32>,
+    /// Correlation weight of the objective.
+    alpha: f32,
+}
+
+impl<'a> SegmentStats<'a> {
+    pub(crate) fn new(segments: &'a Tensor, objective: &Objective) -> SegmentStats<'a> {
+        assert_eq!(segments.rank(), 2, "segments must be [n, p]");
+        let (n, p) = (segments.dims()[0], segments.dims()[1]);
+        let data = segments.data();
+        // Every row is independent, so any partition is bitwise-identical.
+        let grain = EPILOGUE_GRAIN.div_ceil(p.max(1)).max(1);
+        let mut sq_norms = vec![0.0f32; n];
+        par::parallel_fill(&mut sq_norms, grain, |range, chunk| {
+            for (i, o) in range.zip(chunk.iter_mut()) {
+                *o = sq_norm(&data[i * p..(i + 1) * p]);
+            }
+        });
+        let alpha = objective.alpha();
+        let (mut moments, mut unit) = (Vec::new(), Vec::new());
+        if alpha > 0.0 {
+            moments = vec![RowMoments::default(); n];
+            par::parallel_fill(&mut moments, grain, |range, chunk| {
+                for (i, o) in range.zip(chunk.iter_mut()) {
+                    *o = RowMoments::of(&data[i * p..(i + 1) * p]);
+                }
+            });
+            unit = vec![0.0f32; n * p];
+            let moments = &moments;
+            par::parallel_rows(&mut unit, p, grain, 1, |row0, chunk| {
+                for (i, out) in chunk.chunks_exact_mut(p).enumerate() {
+                    let r = row0 + i;
+                    write_unit(&data[r * p..(r + 1) * p], &moments[r], out);
+                }
+            });
+        }
+        SegmentStats {
+            segments,
+            sq_norms,
+            moments,
+            unit,
+            alpha,
+        }
+    }
+
+    /// `x̂_i`, the centred-normalised row `i` (correlation objectives only).
+    pub(crate) fn unit_row(&self, i: usize) -> &[f32] {
+        let p = self.segments.dims()[1];
+        &self.unit[i * p..(i + 1) * p]
+    }
+
+    /// The moments [`SegmentStats::distance`] needs of a center: `None`
+    /// when the objective has no correlation term.
+    pub(crate) fn center_moments(&self, center: &[f32]) -> Option<RowMoments> {
+        (self.alpha > 0.0).then(|| RowMoments::of(center))
+    }
+
+    /// The composite distance (Eq. 6) from segment `i` to `center`, whose
+    /// moments `cm` the caller computed once (`None` when `alpha == 0`).
+    /// Bitwise-equal to [`Objective::distance`]: the segment's moments come
+    /// from the cache and `‖x − c‖²` and `sxy` accumulate in the order
+    /// `stats::sq_euclidean` and `stats::pearson` use.
+    pub(crate) fn distance(&self, i: usize, center: &[f32], cm: Option<&RowMoments>) -> f32 {
+        let x = self.segments.row(i);
+        let Some(cm) = cm else {
+            return stats::sq_euclidean(x, center);
+        };
+        let (alpha, xm) = (self.alpha, &self.moments[i]);
+        let mut rec = 0.0f64;
+        let mut sxy = 0.0f64;
+        for (&a, &b) in x.iter().zip(center) {
+            let d = (a - b) as f64;
+            rec += d * d;
+            sxy += (a as f64 - xm.mean) * (b as f64 - cm.mean);
+        }
+        let r = if xm.flat || cm.flat {
+            0.0
+        } else {
+            (sxy / (xm.norm * cm.norm)).clamp(-1.0, 1.0) as f32
+        };
+        rec as f32 + alpha * (1.0 - r)
+    }
+}
+
+/// Runs the blocked distance sweep over the cached segments `[n, p]`,
+/// invoking `visit(first_row, rows, block)` with each finished `[rows, k]`
+/// distance block (row-major, reused buffer — copy out what must outlive
+/// the call).
+fn for_each_block<F>(seg: &SegmentStats, cache: &CenterCache, mut visit: F)
 where
     F: FnMut(usize, usize, &[f32]),
 {
-    assert_eq!(segments.rank(), 2, "segments must be [n, p]");
+    let segments = seg.segments;
     let (n, p) = (segments.dims()[0], segments.dims()[1]);
     assert_eq!(p, cache.p, "segment width {p} != prototype width {}", cache.p);
     let k = cache.k;
     let block = BLOCK_ROWS.min(n.max(1));
     let corr = cache.alpha > 0.0;
+    assert!(!corr || seg.unit.len() == n * p, "segment stats lack x̂ for a correlation objective");
 
     let mut dist = vec![0.0f32; block * k];
     let mut dots = vec![0.0f32; if corr { block * k } else { 0 }];
-    let mut unit_rows = vec![0.0f32; if corr { block * p } else { 0 }];
-    let mut x2 = vec![0.0f32; block];
 
     let mut r0 = 0usize;
     while r0 < n {
         let rows = block.min(n - r0);
         let seg_block = &segments.data()[r0 * p..(r0 + rows) * p];
-
-        // Per-row statistics (parallel over rows; each row independent).
-        let stats_grain = EPILOGUE_GRAIN.div_ceil(p.max(1)).max(1);
-        par::parallel_fill(&mut x2[..rows], stats_grain, |range, chunk| {
-            for (i, o) in range.zip(chunk.iter_mut()) {
-                *o = sq_norm(&seg_block[i * p..(i + 1) * p]);
-            }
-        });
-        if corr {
-            par::parallel_rows(&mut unit_rows[..rows * p], p, stats_grain, 1, |row0, chunk| {
-                for (i, out) in chunk.chunks_exact_mut(p).enumerate() {
-                    center_normalise(&seg_block[(row0 + i) * p..(row0 + i + 1) * p], out);
-                }
-            });
-        }
+        let x2 = &seg.sq_norms[r0..r0 + rows];
 
         // Reconstruction dots: X·Cᵀ on the raw rows.
         dist[..rows * k].fill(0.0);
@@ -154,12 +264,13 @@ where
         // Correlation dots: X̂·Ĉᵀ on the centred-normalised rows.
         if corr {
             dots[..rows * k].fill(0.0);
-            raw::gemm_nt(rows, p, k, &unit_rows[..rows * p], &cache.unit, &mut dots[..rows * k]);
+            let unit_rows = &seg.unit[r0 * p..(r0 + rows) * p];
+            raw::gemm_nt(rows, p, k, unit_rows, &cache.unit, &mut dots[..rows * k]);
         }
 
         // Epilogue: d = max(‖x‖² − 2·x·c + ‖c‖², 0) + α·(1 − clamp(corr)).
         {
-            let (x2, dots, sq_norms, alpha) = (&x2, &dots, &cache.sq_norms, cache.alpha);
+            let (dots, sq_norms, alpha) = (&dots, &cache.sq_norms, cache.alpha);
             let grain_rows = EPILOGUE_GRAIN.div_ceil(k.max(1)).max(1);
             par::parallel_rows(&mut dist[..rows * k], k, grain_rows, 1, |row0, chunk| {
                 for (i, row) in chunk.chunks_exact_mut(k).enumerate() {
@@ -183,11 +294,11 @@ where
 }
 
 /// The full `[n, k]` composite distance matrix via the GEMM path.
-pub(crate) fn distance_matrix(segments: &Tensor, cache: &CenterCache) -> Tensor {
-    let n = segments.dims()[0];
+pub(crate) fn distance_matrix(seg: &SegmentStats, cache: &CenterCache) -> Tensor {
+    let n = seg.segments.dims()[0];
     let mut out = Tensor::zeros(&[n, cache.k]);
     let k = cache.k;
-    for_each_block(segments, cache, |r0, rows, block| {
+    for_each_block(seg, cache, |r0, rows, block| {
         out.data_mut()[r0 * k..(r0 + rows) * k].copy_from_slice(block);
     });
     out
@@ -196,13 +307,13 @@ pub(crate) fn distance_matrix(segments: &Tensor, cache: &CenterCache) -> Tensor 
 /// Nearest center per row of `segments` via the GEMM path: fills
 /// `out[i] = (argmin_j d_ij, min_j d_ij)` with the lowest-index tie-break
 /// (strict `<` over ascending `j`, exactly like the scalar oracle).
-pub(crate) fn assign_batched(segments: &Tensor, cache: &CenterCache, out: &mut [(usize, f32)]) {
+pub(crate) fn assign_batched(seg: &SegmentStats, cache: &CenterCache, out: &mut [(usize, f32)]) {
     focus_trace::span!("cluster/assign");
-    let n = segments.dims()[0];
+    let n = seg.segments.dims()[0];
     focus_trace::counter_add("cluster/segments_assigned", n as u64);
     assert_eq!(out.len(), n, "output length {} != segment count {n}", out.len());
     let k = cache.k;
-    for_each_block(segments, cache, |r0, rows, block| {
+    for_each_block(seg, cache, |r0, rows, block| {
         let grain = EPILOGUE_GRAIN.div_ceil(k.max(1)).max(1);
         par::parallel_fill(&mut out[r0..r0 + rows], grain, |range, chunk| {
             for (i, o) in range.zip(chunk.iter_mut()) {
@@ -244,7 +355,7 @@ mod tests {
         ] {
             let (segs, centers, obj) = random_case(n, k, p, alpha, seed);
             let cache = CenterCache::new(&centers, &obj);
-            let d = distance_matrix(&segs, &cache);
+            let d = distance_matrix(&SegmentStats::new(&segs, &obj), &cache);
             for i in 0..n {
                 for j in 0..k {
                     let scalar = obj.distance(segs.row(i), centers.row(j));
@@ -266,7 +377,7 @@ mod tests {
         let centers = Tensor::from_vec(vec![2.0, 2.0, 2.0, 2.0, 0.0, 1.0, 2.0, 3.0], &[2, 4]);
         let obj = Objective::rec_corr(0.5);
         let cache = CenterCache::new(&centers, &obj);
-        let d = distance_matrix(&segs, &cache);
+        let d = distance_matrix(&SegmentStats::new(&segs, &obj), &cache);
         assert!((d.at2(0, 0) - 0.5).abs() < 1e-6, "flat-vs-flat must cost α·(1−0)");
         let scalar = obj.distance(segs.row(0), centers.row(1));
         assert!((d.at2(0, 1) - scalar).abs() < 1e-4 * scalar.max(1.0));
@@ -304,7 +415,7 @@ mod tests {
         );
         let obj = Objective::rec_corr(0.5);
         let cache = CenterCache::new(&centers, &obj);
-        let d = distance_matrix(&segs, &cache);
+        let d = distance_matrix(&SegmentStats::new(&segs, &obj), &cache);
         for j in 0..2 {
             assert!(d.at2(0, j).is_finite(), "d[0,{j}] must be finite, got {}", d.at2(0, j));
         }
@@ -330,9 +441,10 @@ mod tests {
         dup.extend_from_slice(c.data());
         dup.extend_from_slice(c.data());
         let centers = Tensor::from_vec(dup, &[3, 8]);
-        let cache = CenterCache::new(&centers, &Objective::rec_corr(0.2));
+        let obj = Objective::rec_corr(0.2);
+        let cache = CenterCache::new(&centers, &obj);
         let mut out = vec![(0usize, 0.0f32); 40];
-        assign_batched(&segs, &cache, &mut out);
+        assign_batched(&SegmentStats::new(&segs, &obj), &cache, &mut out);
         for (i, &(j, _)) in out.iter().enumerate() {
             assert_eq!(j, 0, "segment {i} must tie-break to the lowest index");
         }
@@ -346,12 +458,14 @@ mod tests {
         let (segs, centers, obj) = random_case(257, 6, 16, 0.2, 11);
         let cache = CenterCache::new(&centers, &obj);
         par::set_threads(1);
+        let seg = SegmentStats::new(&segs, &obj);
         let mut serial = vec![(0usize, 0.0f32); 257];
-        assign_batched(&segs, &cache, &mut serial);
+        assign_batched(&seg, &cache, &mut serial);
         for threads in [2, 4] {
             par::set_threads(threads);
+            let seg = SegmentStats::new(&segs, &obj);
             let mut t = vec![(0usize, 0.0f32); 257];
-            assign_batched(&segs, &cache, &mut t);
+            assign_batched(&seg, &cache, &mut t);
             assert_eq!(t, serial, "{threads} threads");
         }
         par::set_threads(0);

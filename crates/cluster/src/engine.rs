@@ -8,8 +8,8 @@
 //! until assignments stop changing or max_iters
 //! ```
 
-use crate::batch::{assign_batched, distance_matrix, CenterCache};
-use crate::objective::{corr_grad_wrt_prototype, Objective};
+use crate::batch::{assign_batched, distance_matrix, CenterCache, RowMoments, SegmentStats};
+use crate::objective::Objective;
 use focus_tensor::{par, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,9 +154,12 @@ impl ClusterConfig {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc1a5_7e12u64.rotate_left(3));
         focus_trace::span!("cluster/fit");
 
+        // Segments never change during a fit: their norms and centred-
+        // normalised rows are computed once and read by every phase below.
+        let seg = SegmentStats::new(segments, &self.objective);
         let mut centers = {
             focus_trace::span!("cluster/init");
-            kmeans_pp_init(segments, self.k, &self.objective, &mut rng)
+            kmeans_pp_init(&seg, self.k, &mut rng)
         };
         let mut assignment = vec![usize::MAX; n];
         let mut trace = FitTrace::default();
@@ -168,7 +171,7 @@ impl ClusterConfig {
             // f64 loss is then folded serially in ascending segment order so
             // the trace is identical at any thread count.
             let cache = CenterCache::new(&centers, &self.objective);
-            assign_batched(segments, &cache, &mut nearest);
+            assign_batched(&seg, &cache, &mut nearest);
             let mut changed = 0usize;
             let mut loss = 0.0f64;
             for (slot, &(best, best_d)) in assignment.iter_mut().zip(&nearest) {
@@ -192,19 +195,12 @@ impl ClusterConfig {
             focus_trace::span!("cluster/update");
             match self.update {
                 ProtoUpdate::ClosedFormMean => {
-                    update_mean(segments, &assignment, &mut centers);
+                    update_mean(&BucketSums::new(&seg, &assignment, self.k, false), &mut centers);
                 }
                 ProtoUpdate::AdamW { lr, steps, weight_decay } => {
-                    update_adamw(
-                        segments,
-                        &assignment,
-                        &mut centers,
-                        &self.objective,
-                        &mut adam,
-                        lr,
-                        steps,
-                        weight_decay,
-                    );
+                    let alpha = self.objective.alpha();
+                    let sums = BucketSums::new(&seg, &assignment, self.k, alpha > 0.0);
+                    update_adamw(&sums, &mut centers, alpha, &mut adam, lr, steps, weight_decay);
                 }
             }
         }
@@ -278,7 +274,11 @@ impl Prototypes {
         );
         let seg = Tensor::from_vec(segment.to_vec(), &[1, segment.len()]);
         let mut out = [(0usize, 0.0f32)];
-        assign_batched(&seg, &CenterCache::new(&self.centers, &self.objective), &mut out);
+        assign_batched(
+            &SegmentStats::new(&seg, &self.objective),
+            &CenterCache::new(&self.centers, &self.objective),
+            &mut out,
+        );
         out[0].0
     }
 
@@ -294,7 +294,11 @@ impl Prototypes {
     pub fn assign_all(&self, segments: &Tensor) -> Vec<usize> {
         let n = segments.dims()[0];
         let mut nearest = vec![(0usize, 0.0f32); n];
-        assign_batched(segments, &CenterCache::new(&self.centers, &self.objective), &mut nearest);
+        assign_batched(
+            &SegmentStats::new(segments, &self.objective),
+            &CenterCache::new(&self.centers, &self.objective),
+            &mut nearest,
+        );
         nearest.into_iter().map(|(j, _)| j).collect()
     }
 
@@ -318,7 +322,10 @@ impl Prototypes {
     /// The full `[n, k]` composite-distance matrix from every row of
     /// `segments` to every prototype, via the batched GEMM kernel.
     pub fn distances(&self, segments: &Tensor) -> Tensor {
-        distance_matrix(segments, &CenterCache::new(&self.centers, &self.objective))
+        distance_matrix(
+            &SegmentStats::new(segments, &self.objective),
+            &CenterCache::new(&self.centers, &self.objective),
+        )
     }
 
     /// The distance from `segment` to its nearest prototype.
@@ -329,7 +336,12 @@ impl Prototypes {
 }
 
 /// k-means++ seeding under the composite distance.
-fn kmeans_pp_init(segments: &Tensor, k: usize, objective: &Objective, rng: &mut StdRng) -> Tensor {
+///
+/// Each new center's moments are computed once per sweep and every
+/// segment's come from the cache, so each distance is bitwise-equal to
+/// [`Objective::distance`] and the picks match the uncached sweep exactly.
+fn kmeans_pp_init(seg: &SegmentStats, k: usize, rng: &mut StdRng) -> Tensor {
+    let segments = seg.segments;
     let (n, p) = (segments.dims()[0], segments.dims()[1]);
     let mut centers = Tensor::zeros(&[k, p]);
     let first = rng.gen_range(0..n);
@@ -340,9 +352,10 @@ fn kmeans_pp_init(segments: &Tensor, k: usize, objective: &Objective, rng: &mut 
     // stream and the f64 prefix scan keep their exact order.
     let grain = assign_grain(p);
     let mut dists = vec![0.0f32; n];
+    let cm = seg.center_moments(centers.row(0));
     par::parallel_fill(&mut dists, grain, |range, chunk| {
         for (i, d) in range.zip(chunk.iter_mut()) {
-            *d = objective.distance(segments.row(i), centers.row(0));
+            *d = seg.distance(i, centers.row(0), cm.as_ref());
         }
     });
 
@@ -363,10 +376,11 @@ fn kmeans_pp_init(segments: &Tensor, k: usize, objective: &Objective, rng: &mut 
             chosen
         };
         centers.data_mut()[j * p..(j + 1) * p].copy_from_slice(segments.row(pick));
-        let centers_ref = &centers;
+        let center = centers.row(j);
+        let cm = seg.center_moments(center);
         par::parallel_rows(&mut dists, 1, grain, 1, |i0, chunk| {
             for (off, d) in chunk.iter_mut().enumerate() {
-                let nd = objective.distance(segments.row(i0 + off), centers_ref.row(j));
+                let nd = seg.distance(i0 + off, center, cm.as_ref());
                 if nd < *d {
                     *d = nd;
                 }
@@ -410,25 +424,95 @@ fn reseed_empty_buckets(
     }
 }
 
-/// Closed-form mean update (classic k-means).
-fn update_mean(segments: &Tensor, assignment: &[usize], centers: &mut Tensor) {
-    let (k, p) = (centers.dims()[0], centers.dims()[1]);
-    let mut sums = vec![0.0f64; k * p];
-    let mut counts = vec![0usize; k];
-    for (i, &a) in assignment.iter().enumerate() {
-        counts[a] += 1;
-        for (s, &v) in sums[a * p..(a + 1) * p].iter_mut().zip(segments.row(i)) {
-            *s += v as f64;
+/// Per-bucket sufficient statistics of one assignment, built in one serial
+/// pass over the segments in ascending order (so identical at any thread
+/// count). The prototype updates only ever need these, never the members.
+struct BucketSums {
+    p: usize,
+    counts: Vec<usize>,
+    /// `Σ_{i∈B_j} x_i`, `[k, p]`.
+    sums: Vec<f64>,
+    /// `S_j = Σ_{i∈B_j} x̂_i`, `[k, p]`; empty unless requested.
+    unit_sums: Vec<f64>,
+}
+
+impl BucketSums {
+    fn new(seg: &SegmentStats, assignment: &[usize], k: usize, with_unit: bool) -> BucketSums {
+        let p = seg.segments.dims()[1];
+        let mut counts = vec![0usize; k];
+        let mut sums = vec![0.0f64; k * p];
+        let mut unit_sums = vec![0.0f64; if with_unit { k * p } else { 0 }];
+        for (i, &a) in assignment.iter().enumerate() {
+            counts[a] += 1;
+            for (s, &v) in sums[a * p..(a + 1) * p].iter_mut().zip(seg.segments.row(i)) {
+                *s += v as f64;
+            }
+            if with_unit {
+                for (s, &u) in unit_sums[a * p..(a + 1) * p].iter_mut().zip(seg.unit_row(i)) {
+                    *s += u as f64;
+                }
+            }
+        }
+        BucketSums {
+            p,
+            counts,
+            sums,
+            unit_sums,
         }
     }
+
+    /// `S_j`, or an empty slice when the sums were built without it.
+    fn unit_sum(&self, j: usize) -> &[f64] {
+        self.unit_sums.get(j * self.p..(j + 1) * self.p).unwrap_or(&[])
+    }
+
+    /// Writes the mean of non-empty bucket `j` into `out`.
+    fn mean(&self, j: usize, out: &mut [f32]) {
+        let inv = 1.0 / self.counts[j] as f64;
+        for (o, &s) in out.iter_mut().zip(&self.sums[j * self.p..(j + 1) * self.p]) {
+            *o = (s * inv) as f32;
+        }
+    }
+}
+
+/// Closed-form mean update (classic k-means).
+fn update_mean(sums: &BucketSums, centers: &mut Tensor) {
+    let (k, p) = (centers.dims()[0], centers.dims()[1]);
     for j in 0..k {
-        if counts[j] == 0 {
-            continue;
+        if sums.counts[j] > 0 {
+            sums.mean(j, &mut centers.data_mut()[j * p..(j + 1) * p]);
         }
-        let inv = 1.0 / counts[j] as f64;
-        for (c, &s) in centers.data_mut()[j * p..(j + 1) * p].iter_mut().zip(&sums[j * p..(j + 1) * p]) {
-            *c = (s * inv) as f32;
-        }
+    }
+}
+
+/// Gradient of `L_j = ‖c − mean(B_j)‖² + α · (−|B_j|⁻¹ Σ_{i∈B_j} corr(x_i, c))`
+/// (Eqs. 8–10) from the bucket's sufficient statistics.
+///
+/// With `ĉ = c̃/‖c̃‖` and `S = Σ_i x̂_i`, each member contributes
+/// `∂corr(x_i, c)/∂c = (x̂_i − (x̂_i·ĉ)ĉ)/‖c̃‖`, which is linear in `x̂_i`, so
+/// the bucket sum is exactly `(S − (S·ĉ)ĉ)/‖c̃‖` — `O(p)` per bucket instead
+/// of `O(|B_j|·p)`. Constant members have `x̂_i = 0` and a constant center
+/// has zero gradient, the convention of [`crate::objective::corr_grad_wrt_prototype`].
+fn bucket_grad(center: &[f32], mean: &[f32], unit_sum: &[f64], count: usize, alpha: f32, out: &mut [f32]) {
+    for ((g, &c), &m) in out.iter_mut().zip(center).zip(mean) {
+        *g = 2.0 * (c - m);
+    }
+    if alpha <= 0.0 {
+        return;
+    }
+    debug_assert_eq!(unit_sum.len(), center.len(), "correlation objective without bucket sums S_j");
+    let cm = RowMoments::of(center);
+    if cm.flat {
+        return;
+    }
+    let unit = |c: f32| (c as f64 - cm.mean) / cm.norm;
+    let s_dot_c: f64 = unit_sum.iter().zip(center).map(|(&s, &c)| s * unit(c)).sum();
+    let corr = |s: f64, c: f32| s - s_dot_c * unit(c);
+    // The exact gradient has zero mean; drop the rounding residue.
+    let residue = unit_sum.iter().zip(center).map(|(&s, &c)| corr(s, c)).sum::<f64>() / center.len() as f64;
+    let scale = alpha as f64 / (count as f64 * cm.norm);
+    for ((g, &s), &c) in out.iter_mut().zip(unit_sum).zip(center) {
+        *g -= (scale * (corr(s, c) - residue)) as f32;
     }
 }
 
@@ -449,70 +533,44 @@ impl AdamState {
     }
 }
 
-/// AdamW steps on `L_j = ‖c_j − mean(B_j)‖² + α · (−|B_j|⁻¹ Σ corr)`,
-/// following Eqs. 8–10.
-#[allow(clippy::too_many_arguments)]
+/// AdamW steps on every non-empty bucket's loss (see [`bucket_grad`]).
+/// Each step costs `O(k·p)`: the buckets enter only through `sums`.
 fn update_adamw(
-    segments: &Tensor,
-    assignment: &[usize],
+    sums: &BucketSums,
     centers: &mut Tensor,
-    objective: &Objective,
+    alpha: f32,
     adam: &mut AdamState,
     lr: f32,
     steps: usize,
     weight_decay: f32,
 ) {
     let (k, p) = (centers.dims()[0], centers.dims()[1]);
-    let alpha = objective.alpha();
-
-    // Bucket membership and means (the mean is constant during inner steps).
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (i, &a) in assignment.iter().enumerate() {
-        members[a].push(i);
-    }
+    // Bucket means are constant during the inner steps.
     let mut bucket_means = vec![0.0f32; k * p];
     for j in 0..k {
-        if members[j].is_empty() {
-            bucket_means[j * p..(j + 1) * p].copy_from_slice(centers.row(j));
-            continue;
-        }
-        let inv = 1.0 / members[j].len() as f32;
-        for &i in &members[j] {
-            for (m, &v) in bucket_means[j * p..(j + 1) * p].iter_mut().zip(segments.row(i)) {
-                *m += v * inv;
-            }
+        if sums.counts[j] > 0 {
+            sums.mean(j, &mut bucket_means[j * p..(j + 1) * p]);
         }
     }
 
     let (beta1, beta2, eps) = (0.9f32, 0.999f32, 1e-8f32);
     let mut grad = vec![0.0f32; p];
-    let mut corr_g = vec![0.0f32; p];
     for _ in 0..steps {
         adam.t += 1;
         let bc1 = 1.0 - beta1.powi(adam.t as i32);
         let bc2 = 1.0 - beta2.powi(adam.t as i32);
         for j in 0..k {
-            if members[j].is_empty() {
+            if sums.counts[j] == 0 {
                 continue;
             }
-            // ∇L_rec = 2(c − mean(B_j))
-            for ((g, &c), &m) in grad
-                .iter_mut()
-                .zip(centers.row(j))
-                .zip(&bucket_means[j * p..(j + 1) * p])
-            {
-                *g = 2.0 * (c - m);
-            }
-            // ∇L_corr = −|B_j|⁻¹ Σ ∂corr/∂c
-            if alpha > 0.0 {
-                let inv = 1.0 / members[j].len() as f32;
-                for &i in &members[j] {
-                    corr_grad_wrt_prototype(segments.row(i), centers.row(j), &mut corr_g);
-                    for (g, &cg) in grad.iter_mut().zip(&corr_g) {
-                        *g -= alpha * inv * cg;
-                    }
-                }
-            }
+            bucket_grad(
+                centers.row(j),
+                &bucket_means[j * p..(j + 1) * p],
+                sums.unit_sum(j),
+                sums.counts[j],
+                alpha,
+                &mut grad,
+            );
             // AdamW step with decoupled decay.
             let base = j * p;
             let row = &mut centers.data_mut()[base..base + p];
@@ -535,6 +593,7 @@ fn update_adamw(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::corr_grad_wrt_prototype;
     use focus_tensor::stats;
 
     /// Three well-separated planted clusters of segments.
@@ -664,6 +723,127 @@ mod tests {
             assert!(j < 3);
             assert!(protos.nearest_distance(segs.row(i)).is_finite());
         }
+    }
+
+    /// The per-member loop the closed form replaced: `2(c − m) − α/|B|·Σ_i
+    /// ∂corr(x_i, c)/∂c`, one [`corr_grad_wrt_prototype`] call per member.
+    fn member_loop_grad(members: &[&[f32]], center: &[f32], mean: &[f32], alpha: f32) -> Vec<f32> {
+        let mut grad: Vec<f32> = center.iter().zip(mean).map(|(&c, &m)| 2.0 * (c - m)).collect();
+        let mut cg = vec![0.0f32; center.len()];
+        let inv = 1.0 / members.len() as f32;
+        for x in members {
+            corr_grad_wrt_prototype(x, center, &mut cg);
+            for (g, &v) in grad.iter_mut().zip(&cg) {
+                *g -= alpha * inv * v;
+            }
+        }
+        grad
+    }
+
+    /// The closed-form gradient of one bucket, built through the same
+    /// cache and bucket pass the fit uses.
+    fn closed_form_grad(members: &Tensor, center: &[f32], mean: &[f32], alpha: f32) -> Vec<f32> {
+        let objective = if alpha > 0.0 { Objective::rec_corr(alpha) } else { Objective::RecOnly };
+        let seg = SegmentStats::new(members, &objective);
+        let sums = BucketSums::new(&seg, &vec![0; members.dims()[0]], 1, alpha > 0.0);
+        let mut grad = vec![0.0f32; center.len()];
+        bucket_grad(center, mean, sums.unit_sum(0), sums.counts[0], alpha, &mut grad);
+        grad
+    }
+
+    fn assert_rel_close(closed: &[f32], oracle: &[f32], what: &str) {
+        let scale = oracle.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        for (t, (&a, &b)) in closed.iter().zip(oracle).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-5 * scale,
+                "{what}[{t}]: closed form {a} vs member loop {b} (scale {scale})"
+            );
+        }
+    }
+
+    #[test]
+    fn closed_form_bucket_gradient_matches_member_loop() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for (case, &(size, p, alpha)) in
+            [(1usize, 8usize, 0.2f32), (7, 16, 0.2), (64, 24, 1.0), (300, 12, 0.5), (40, 8, 0.0)].iter().enumerate()
+        {
+            let mut members = Tensor::randn(&[size, p], 1.5, &mut rng);
+            // Every fourth member is constant: it must contribute nothing.
+            for i in (0..size).step_by(4) {
+                let level = members.row(i)[0];
+                members.data_mut()[i * p..(i + 1) * p].fill(level);
+            }
+            let center = Tensor::randn(&[1, p], 1.0, &mut rng);
+            let rows: Vec<&[f32]> = (0..size).map(|i| members.row(i)).collect();
+            // mean == center zeroes the reconstruction term, isolating the
+            // correlation sum; a distinct mean checks the two combine.
+            let other_mean = Tensor::randn(&[1, p], 1.0, &mut rng);
+            for mean in [center.row(0), other_mean.row(0)] {
+                let closed = closed_form_grad(&members, center.row(0), mean, alpha);
+                let oracle = member_loop_grad(&rows, center.row(0), mean, alpha);
+                assert_rel_close(&closed, &oracle, &format!("case {case}"));
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_bucket_gradient_follows_constant_conventions() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let p = 10;
+        let members = Tensor::randn(&[12, p], 1.0, &mut rng);
+        let rows: Vec<&[f32]> = (0..12).map(|i| members.row(i)).collect();
+        let mean = vec![0.25f32; p];
+        // A constant center has zero correlation gradient on both paths.
+        let flat = vec![3.0f32; p];
+        let closed = closed_form_grad(&members, &flat, &mean, 0.4);
+        assert_eq!(closed, member_loop_grad(&rows, &flat, &mean, 0.4));
+        assert!(closed.iter().all(|&g| g == 2.0 * (3.0 - 0.25)));
+        // An all-constant bucket (large magnitude included) contributes zero.
+        let levels = Tensor::from_vec(
+            (0..3).flat_map(|i| vec![[1.0e8f32, -2.0, 0.5][i]; p]).collect(),
+            &[3, p],
+        );
+        let center = Tensor::randn(&[1, p], 1.0, &mut rng);
+        let closed = closed_form_grad(&levels, center.row(0), center.row(0), 0.4);
+        assert!(closed.iter().all(|&g| g == 0.0), "constant members must not pull: {closed:?}");
+    }
+
+    #[test]
+    fn cached_distance_is_bitwise_equal_to_objective_distance() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let p = 12;
+        let mut segs = Tensor::randn(&[50, p], 2.0, &mut rng);
+        segs.data_mut()[..p].fill(1.0e8); // large-magnitude constant row
+        segs.data_mut()[p..2 * p].fill(-0.75); // ordinary constant row
+        let mut centers = Tensor::randn(&[4, p], 1.0, &mut rng);
+        centers.data_mut()[..p].fill(0.5);
+        for objective in [Objective::RecOnly, Objective::rec_corr(0.2), Objective::rec_corr(3.0)] {
+            let seg = SegmentStats::new(&segs, &objective);
+            for j in 0..4 {
+                let center = centers.row(j);
+                let cm = seg.center_moments(center);
+                for i in 0..50 {
+                    let cached = seg.distance(i, center, cm.as_ref());
+                    let direct = objective.distance(segs.row(i), center);
+                    assert_eq!(cached.to_bits(), direct.to_bits(), "{objective:?} d({i}, {j})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fit_is_thread_count_invariant() {
+        let _g = par::threads_guard();
+        let (segs, _) = planted(700, 16);
+        let cfg = ClusterConfig::new(8, 16).with_max_iters(6);
+        par::set_threads(1);
+        let serial = cfg.fit(&segs, 31);
+        for threads in [2, 4] {
+            par::set_threads(threads);
+            let t = cfg.fit(&segs, 31);
+            assert_eq!(t.centers().data(), serial.centers().data(), "{threads} threads");
+        }
+        par::set_threads(0);
     }
 
     #[test]

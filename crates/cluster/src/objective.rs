@@ -61,7 +61,12 @@ impl Objective {
 /// (the centring projection leaves already-centred vectors unchanged, so it
 /// is absorbed). If either vector is (numerically) constant the correlation
 /// is defined as 0 and the gradient as 0.
-pub fn corr_grad_wrt_prototype(segment: &[f32], prototype: &[f32], out: &mut [f32]) {
+///
+/// The fit sums this over a whole bucket in closed form (see
+/// `engine::bucket_grad`); this per-member form is the oracle it is tested
+/// against.
+#[cfg(test)]
+pub(crate) fn corr_grad_wrt_prototype(segment: &[f32], prototype: &[f32], out: &mut [f32]) {
     assert_eq!(segment.len(), prototype.len(), "length mismatch");
     assert_eq!(out.len(), prototype.len(), "output length mismatch");
     let n = segment.len() as f64;

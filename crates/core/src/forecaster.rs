@@ -143,22 +143,24 @@ pub trait Forecaster {
     /// # Panics
     /// If the training split holds no full window.
     fn train(&mut self, ds: &MtsDataset, opts: &TrainOptions) -> TrainReport {
-        let mut windows = ds.windows(Split::Train, self.lookback(), self.horizon(), opts.stride);
+        let (lookback, horizon) = (self.lookback(), self.horizon());
+        let mut starts = ds.window_starts(Split::Train, lookback, horizon, opts.stride);
         assert!(
-            !windows.is_empty(),
-            "training split too short for lookback {} + horizon {}",
-            self.lookback(),
-            self.horizon()
+            !starts.is_empty(),
+            "training split too short for lookback {lookback} + horizon {horizon}"
         );
+        // The shuffle's draws depend only on the length, so shuffling the
+        // starts picks exactly the windows a shuffle of the windows would.
         let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x7ea1);
-        windows.shuffle(&mut rng);
-        windows.truncate(opts.max_windows);
+        starts.shuffle(&mut rng);
+        starts.truncate(opts.max_windows);
+        let windows: Vec<_> = starts.into_iter().map(|s| ds.window_at(s, lookback, horizon)).collect();
 
         // Validation windows for early stopping (a small fixed set).
         let val_windows: Vec<_> = if opts.patience.is_some() {
-            let all = ds.windows(Split::Val, self.lookback(), self.horizon(), self.horizon().max(1));
+            let all = ds.window_starts(Split::Val, lookback, horizon, horizon.max(1));
             let keep = all.len().div_ceil(16).max(1);
-            all.into_iter().step_by(keep).take(16).collect()
+            all.into_iter().step_by(keep).take(16).map(|s| ds.window_at(s, lookback, horizon)).collect()
         } else {
             Vec::new()
         };

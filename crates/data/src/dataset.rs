@@ -117,30 +117,33 @@ impl MtsDataset {
         Tensor::from_vec(out, &[self.spec.entities, r.len()])
     }
 
-    /// Supervised windows of `(lookback, horizon)` drawn from `split` at the
-    /// given stride. Windows never cross the split boundary. The final
-    /// admissible start is always included even when `stride` does not land
-    /// on it exactly, so evaluation covers the tail of the split; the last
-    /// two windows may therefore overlap by more than `stride` allows
-    /// elsewhere.
-    pub fn windows(&self, split: Split, lookback: usize, horizon: usize, stride: usize) -> Vec<Window> {
+    /// Start indices of the supervised windows of `(lookback, horizon)`
+    /// drawn from `split` at the given stride. Windows never cross the split
+    /// boundary. The final admissible start is always included even when
+    /// `stride` does not land on it exactly, so evaluation covers the tail
+    /// of the split; the last two windows may therefore overlap by more than
+    /// `stride` allows elsewhere.
+    pub fn window_starts(&self, split: Split, lookback: usize, horizon: usize, stride: usize) -> Vec<usize> {
         assert!(stride > 0, "stride must be positive");
         let r = self.range(split);
         let need = lookback + horizon;
-        let mut out = Vec::new();
         if r.len() < need {
-            return out;
-        }
-        let mut s = r.start;
-        while s + need <= r.end {
-            out.push(self.window_at(s, lookback, horizon));
-            s += stride;
+            return Vec::new();
         }
         let final_start = r.end - need;
-        if out.last().is_some_and(|w| w.start < final_start) {
-            out.push(self.window_at(final_start, lookback, horizon));
+        let mut out: Vec<usize> = (r.start..=final_start).step_by(stride).collect();
+        if out.last().is_some_and(|&s| s < final_start) {
+            out.push(final_start);
         }
         out
+    }
+
+    /// The windows at [`MtsDataset::window_starts`], materialised.
+    pub fn windows(&self, split: Split, lookback: usize, horizon: usize, stride: usize) -> Vec<Window> {
+        self.window_starts(split, lookback, horizon, stride)
+            .into_iter()
+            .map(|s| self.window_at(s, lookback, horizon))
+            .collect()
     }
 
     /// One window starting at absolute index `start`.
@@ -202,6 +205,19 @@ mod tests {
                 assert!(w.start + lookback + horizon <= r.end);
                 assert_eq!(w.x.dims(), &[8, lookback]);
                 assert_eq!(w.y.dims(), &[8, horizon]);
+            }
+        }
+    }
+
+    #[test]
+    fn windows_materialise_window_starts() {
+        let d = ds();
+        for (split, stride) in [(Split::Train, 16), (Split::Val, 7), (Split::Test, 64)] {
+            let starts = d.window_starts(split, 48, 12, stride);
+            let windows = d.windows(split, 48, 12, stride);
+            assert_eq!(windows.iter().map(|w| w.start).collect::<Vec<_>>(), starts);
+            for (w, &s) in windows.iter().zip(&starts) {
+                assert_eq!(w.x.data(), d.window_at(s, 48, 12).x.data());
             }
         }
     }

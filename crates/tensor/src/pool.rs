@@ -22,7 +22,9 @@
 //! The pool is a process-wide singleton guarded by a [`Mutex`]; the lock is
 //! held only for the bucket push/pop, never while zeroing or copying.
 //! Retention is capped per class and in total so pathological size sweeps
-//! cannot hold the high-water mark of every shape ever seen.
+//! cannot hold the high-water mark of every shape ever seen, and only
+//! pool-born (power-of-two capacity) buffers are shelved at all: a buffer
+//! the pool never handed out has no request waiting for it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -168,10 +170,17 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
 }
 
 /// Returns a buffer to the pool (or frees it if retention caps are hit).
+///
+/// Only pool-born buffers are shelved. Those always have a power-of-two
+/// capacity (a fresh [`take`] reserves its whole class and recycling never
+/// reallocates), so any other capacity — a plain `Vec` wrapped by
+/// `Tensor::from_vec`, say — is freed here. Such buffers arrive on their
+/// own schedule rather than in answer to a request, so shelving them would
+/// only grow the pool round after round up to [`MAX_RESIDENT_BYTES`].
 /// Zero-capacity buffers are ignored.
 pub fn give(v: Vec<f32>) {
     let cap_bytes = v.capacity() * std::mem::size_of::<f32>();
-    if cap_bytes == 0 || !ENABLED.load(Ordering::Relaxed) {
+    if !v.capacity().is_power_of_two() || !ENABLED.load(Ordering::Relaxed) {
         return;
     }
     let c = class_for_capacity(v.capacity());

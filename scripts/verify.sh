@@ -49,6 +49,13 @@ grep -q '"io_errors":0' /tmp/focus-lint-report.json
 echo "==> cargo test -p focus-lint -q"
 cargo test -p focus-lint -q
 
+# Repository benchmark: perfbench is its own cargo workspace, so the
+# workspace test legs above never build it. Its tests run every workload at
+# reduced size in both modes and require every gate to hold and the emitted
+# metric names to equal BENCHMARK.json's lists.
+echo "==> cargo test --release --manifest-path perfbench/Cargo.toml"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 # Steady-state train-step benchmark: measures the fused/pooled path against
 # the reference path at 1/2/4 threads and rewrites BENCH_trainstep.json.
 # Asserts internally that steady-state training performs zero fresh pool
