@@ -1,15 +1,16 @@
 //! Wall-clock backing for the GEMM assignment + sparse routing rewrite:
 //!
 //! * composite-distance `assign_all` — serial scalar per-pair sweep vs the
-//!   blocked two-GEMM kernel, swept across worker threads;
+//!   row-lane nearest-prototype kernel, swept across worker threads;
 //! * one-hot routing — dense `[B,l,k]·[B,k,d]` bmm vs the `route_gather`
 //!   index kernel (and the matching backward: dense `bmm_tn` vs
 //!   `route_scatter_add`).
 //!
 //! Rewrites `BENCH_assign.json` at the repository root — a schema-versioned
 //! [`focus_trace::report::RunReport`] — so the numbers are tracked alongside
-//! the code; equality metrics record that the fast paths returned the same
-//! assignments / bitwise-identical tensors in this run.
+//! the code; equality metrics (`output_match`) record that the fast paths
+//! returned the same assignments / bitwise-identical tensors in this run, at
+//! every thread count. The run exits non-zero when any of them is 0.
 
 use focus_cluster::{ClusterConfig, Objective, ProtoUpdate};
 use focus_tensor::{par, route, Tensor};
@@ -80,8 +81,8 @@ fn sweep_threads() -> Vec<usize> {
     ts
 }
 
-/// Scalar per-pair sweep vs the blocked two-GEMM assignment kernel, at the
-/// sizes of the recorded `assign_all_20000x32_k64` baseline.
+/// Scalar per-pair sweep vs the row-lane assignment kernel, at the sizes of
+/// the recorded `assign_all_20000x32_k64` baseline.
 fn bench_assign() -> Sweep {
     let (n, p, k) = (20_000usize, 32usize, 64usize);
     let mut rng = StdRng::seed_from_u64(0xa551);
@@ -97,16 +98,17 @@ fn bench_assign() -> Sweep {
     let naive_ns = time_ns(reps, || {
         black_box(protos.assign_all_scalar(&segs));
     });
-    let matches = protos.assign_all(&segs) == protos.assign_all_scalar(&segs);
+    let want = protos.assign_all_scalar(&segs);
 
     let mut sweep = Sweep {
         label: "assign_all_20000x32_k64",
         naive_ns,
         fast: Vec::new(),
-        matches,
+        matches: true,
     };
     for t in sweep_threads() {
         par::set_threads(t);
+        sweep.matches &= protos.assign_all(&segs) == want;
         sweep.fast.push((t, time_ns(reps, || {
             black_box(protos.assign_all(&segs));
         })));
@@ -133,23 +135,26 @@ fn bench_routing() -> [Sweep; 2] {
     let dense_bwd_ns = time_ns(reps, || {
         black_box(one_hot.bmm_tn(&dout));
     });
-    let fwd_match = route::route_gather(&head, &indices, l).data() == one_hot.bmm(&head).data();
-    let bwd_match = route::route_scatter_add(&dout, &indices, k).data() == one_hot.bmm_tn(&dout).data();
+    let fwd_want = one_hot.bmm(&head);
+    let bwd_want = one_hot.bmm_tn(&dout);
+    let same = |got: &Tensor, want: &Tensor| got.data().iter().zip(want.data()).all(|(x, y)| x.to_bits() == y.to_bits());
 
     let mut fwd = Sweep {
         label: "route_gather_b64_l128_k64_d64",
         naive_ns: dense_fwd_ns,
         fast: Vec::new(),
-        matches: fwd_match,
+        matches: true,
     };
     let mut bwd = Sweep {
         label: "route_scatter_add_b64_l128_k64_d64",
         naive_ns: dense_bwd_ns,
         fast: Vec::new(),
-        matches: bwd_match,
+        matches: true,
     };
     for t in sweep_threads() {
         par::set_threads(t);
+        fwd.matches &= same(&route::route_gather(&head, &indices, l), &fwd_want);
+        bwd.matches &= same(&route::route_scatter_add(&dout, &indices, k), &bwd_want);
         fwd.fast.push((t, time_ns(reps, || {
             black_box(route::route_gather(&head, &indices, l));
         })));
@@ -190,5 +195,10 @@ fn main() {
     match report.write(path) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
+    }
+    let failed: Vec<&str> = [&assign].into_iter().chain(&routing).filter(|s| !s.matches).map(|s| s.label).collect();
+    if !failed.is_empty() {
+        eprintln!("output_match is 0 for {failed:?}: a fast path diverged from its baseline");
+        std::process::exit(1);
     }
 }

@@ -8,7 +8,10 @@
 //! [`focus_trace::report::RunReport`] — so the numbers are tracked
 //! alongside the code. Thread scaling beyond the host's core count cannot
 //! speed anything up, so the report records the core count next to the
-//! sweep.
+//! sweep. Each sweep also records `output_match`: whether the fast path
+//! reproduced its baseline's output (bitwise for the GEMMs, the same
+//! assignments for `assign_all`) at every thread count. The run exits
+//! non-zero when any of them is 0.
 
 use focus_cluster::{ClusterConfig, Objective, ProtoUpdate};
 use focus_tensor::{par, reference, Tensor};
@@ -38,6 +41,8 @@ struct Sweep {
     naive_ns: f64,
     /// `(threads, ns)` for the tiled path.
     tiled: Vec<(usize, f64)>,
+    /// The tiled path reproduced the naive output at every thread count.
+    matches: bool,
 }
 
 impl Sweep {
@@ -47,10 +52,11 @@ impl Sweep {
 
     fn report(&self) {
         println!(
-            "{}: naive {} | tiling speedup at 1 thread: {:.2}x",
+            "{}: naive {} | tiling speedup at 1 thread: {:.2}x | output match: {}",
             self.label,
             fmt_ms(self.naive_ns),
-            self.naive_ns / self.tiled_t1()
+            self.naive_ns / self.tiled_t1(),
+            self.matches
         );
         for &(t, ns) in &self.tiled {
             println!("  tiled, {t} thread(s): {}", fmt_ms(ns));
@@ -66,6 +72,7 @@ impl Sweep {
             &format!("{}/tiling_speedup_1_thread", self.label),
             self.naive_ns / self.tiled_t1(),
         );
+        report.metric(&format!("{}/output_match", self.label), f64::from(u8::from(self.matches)));
     }
 }
 
@@ -102,13 +109,30 @@ fn bench_gemm(m: usize, k: usize, n: usize) -> [Sweep; 3] {
         black_box(c.data());
     });
 
+    // Reference outputs the tiled products must reproduce bit for bit.
+    let reference_out = |f: &dyn Fn(&mut [f32])| {
+        let mut out = vec![0.0f32; m * n];
+        f(&mut out);
+        out
+    };
+    let want = [
+        reference_out(&|c| reference::gemm(m, k, n, a.data(), b.data(), c)),
+        reference_out(&|c| reference::gemm_nt(m, k, n, a.data(), bt.data(), c)),
+        reference_out(&|c| reference::gemm_tn(m, k, n, at.data(), b.data(), c)),
+    ];
+
     let mut sweeps = [
-        Sweep { label: "gemm_256", naive_ns: naive_nn, tiled: Vec::new() },
-        Sweep { label: "gemm_nt_256", naive_ns: naive_nt, tiled: Vec::new() },
-        Sweep { label: "gemm_tn_256", naive_ns: naive_tn, tiled: Vec::new() },
+        Sweep { label: "gemm_256", naive_ns: naive_nn, tiled: Vec::new(), matches: true },
+        Sweep { label: "gemm_nt_256", naive_ns: naive_nt, tiled: Vec::new(), matches: true },
+        Sweep { label: "gemm_tn_256", naive_ns: naive_tn, tiled: Vec::new(), matches: true },
     ];
     for t in sweep_threads() {
         par::set_threads(t);
+        let got = [a.matmul(&b), a.matmul_nt(&bt), at.matmul_tn(&b)];
+        for ((sweep, got), want) in sweeps.iter_mut().zip(&got).zip(&want) {
+            let same = got.data().iter().zip(want).all(|(x, y)| x.to_bits() == y.to_bits());
+            sweep.matches &= same;
+        }
         sweeps[0].tiled.push((t, time_ns(reps, || {
             black_box(a.matmul(&b));
         })));
@@ -139,9 +163,11 @@ fn bench_assign_all() -> Sweep {
     let naive_ns = time_ns(reps, || {
         black_box(protos.assign_all_scalar(&segs));
     });
-    let mut sweep = Sweep { label: "assign_all_20000x32_k64", naive_ns, tiled: Vec::new() };
+    let want = protos.assign_all_scalar(&segs);
+    let mut sweep = Sweep { label: "assign_all_20000x32_k64", naive_ns, tiled: Vec::new(), matches: true };
     for t in sweep_threads() {
         par::set_threads(t);
+        sweep.matches &= protos.assign_all(&segs) == want;
         sweep.tiled.push((t, time_ns(reps, || {
             black_box(protos.assign_all(&segs));
         })));
@@ -179,5 +205,10 @@ fn main() {
     match report.write(path) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
+    }
+    let failed: Vec<&str> = gemm.iter().chain([&assign]).filter(|s| !s.matches).map(|s| s.label).collect();
+    if !failed.is_empty() {
+        eprintln!("output_match is 0 for {failed:?}: a fast path diverged from its baseline");
+        std::process::exit(1);
     }
 }

@@ -7,7 +7,7 @@
 //! reconstruction and measures its fidelity.
 
 use crate::engine::Prototypes;
-use focus_tensor::stats;
+use focus_tensor::{stats, Tensor};
 
 /// Fidelity of a prototype reconstruction of one series.
 #[derive(Clone, Debug)]
@@ -37,11 +37,11 @@ pub fn reconstruct_row(row: &[f32], prototypes: &Prototypes) -> ReconstructionRe
     assert!(n_segs > 0, "series of length {} shorter than segment {p}", row.len());
     let used = &row[..n_segs * p];
 
+    // One batched assignment over the row's segments; each row of the
+    // kernel is independent, so this equals assigning them one by one.
+    let assignments = prototypes.assign_all(&Tensor::from_vec(used.to_vec(), &[n_segs, p]));
     let mut reconstruction = Vec::with_capacity(used.len());
-    let mut assignments = Vec::with_capacity(n_segs);
-    for seg in used.chunks_exact(p) {
-        let j = prototypes.assign(seg);
-        assignments.push(j);
+    for (seg, &j) in used.chunks_exact(p).zip(&assignments) {
         let proto = prototypes.centers().row(j);
         let (seg_mean, seg_std) = stats::mean_std(seg);
         let (proto_mean, proto_std) = stats::mean_std(proto);
@@ -75,7 +75,6 @@ mod tests {
     use super::*;
     use crate::engine::{segment_matrix, ClusterConfig};
     use crate::objective::Objective;
-    use focus_tensor::Tensor;
 
     fn periodic_series(len: usize) -> Vec<f32> {
         (0..len)

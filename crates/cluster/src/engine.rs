@@ -8,20 +8,11 @@
 //! until assignments stop changing or max_iters
 //! ```
 
-use crate::batch::{assign_batched, distance_matrix, CenterCache, RowMoments, SegmentStats};
+use crate::batch::{assign_nearest, distance_matrix, kpp_sweep, sweep_grain, CenterCache, RowMoments, SegmentStats};
 use crate::objective::Objective;
 use focus_tensor::{par, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Minimum distance-evaluation work (~`segments × k × p` flops) per thread
-/// before the assignment sweeps go parallel.
-const ASSIGN_GRAIN_FLOPS: usize = 64 * 1024;
-
-/// Segments per thread for a sweep costing `cost_per_seg` flops each.
-fn assign_grain(cost_per_seg: usize) -> usize {
-    ASSIGN_GRAIN_FLOPS.div_ceil(cost_per_seg.max(1)).max(1)
-}
 
 /// Nearest prototype to `seg` among `centers: [k, p]`: `(index, distance)`.
 fn nearest_center(seg: &[f32], centers: &Tensor, k: usize, objective: &Objective) -> (usize, f32) {
@@ -165,16 +156,17 @@ impl ClusterConfig {
         let mut trace = FitTrace::default();
         let mut adam = AdamState::new(self.k, p);
 
-        let mut nearest = vec![(0usize, 0.0f32); n];
+        let (mut nearest, mut nearest_d) = (vec![0u32; seg.padded_rows()], vec![0.0f32; seg.padded_rows()]);
         for iter in 0..self.max_iters {
-            // Assignment step (Eq. 6) via the blocked two-GEMM kernel; the
-            // f64 loss is then folded serially in ascending segment order so
-            // the trace is identical at any thread count.
+            // Assignment step (Eq. 6) via the row-lane kernel; the f64 loss
+            // is then folded serially in ascending segment order so the
+            // trace is identical at any thread count.
             let cache = CenterCache::new(&centers, &self.objective);
-            assign_batched(&seg, &cache, &mut nearest);
+            assign_nearest(&seg, &cache, &mut nearest, &mut nearest_d);
             let mut changed = 0usize;
             let mut loss = 0.0f64;
-            for (slot, &(best, best_d)) in assignment.iter_mut().zip(&nearest) {
+            for ((slot, &best), &best_d) in assignment.iter_mut().zip(&nearest).zip(&nearest_d) {
+                let best = best as usize;
                 if *slot != best {
                     changed += 1;
                     *slot = best;
@@ -205,13 +197,7 @@ impl ClusterConfig {
             }
         }
 
-        (
-            Prototypes {
-                centers,
-                objective: self.objective,
-            },
-            trace,
-        )
+        (Prototypes::from_centers(centers, self.objective), trace)
     }
 }
 
@@ -227,15 +213,26 @@ pub struct FitTrace {
 /// The learned prototype set `C = {c_1, …, c_k}`.
 #[derive(Clone, Debug)]
 pub struct Prototypes {
-    pub(crate) centers: Tensor,
-    pub(crate) objective: Objective,
+    centers: Tensor,
+    objective: Objective,
+    /// The kernel's center-side data, built once here so online routing
+    /// never rebuilds it per call (boxed: models embed prototype sets by
+    /// value).
+    cache: Box<CenterCache>,
 }
 
 impl Prototypes {
     /// Builds a prototype set directly (for tests and deserialisation).
+    /// Every constructor ends here, so the center cache always exists and
+    /// always matches `centers`.
     pub fn from_centers(centers: Tensor, objective: Objective) -> Self {
         assert_eq!(centers.rank(), 2, "centers must be [k, p]");
-        Prototypes { centers, objective }
+        let cache = Box::new(CenterCache::new(&centers, &objective));
+        Prototypes {
+            centers,
+            objective,
+            cache,
+        }
     }
 
     /// The prototype matrix, `[k, p]`.
@@ -261,9 +258,10 @@ impl Prototypes {
     /// Index of the nearest prototype to `segment` under the fitted
     /// objective (Eq. 6) — the online assignment of Algorithm 2, line 3.
     ///
-    /// Single segments run through the same batched GEMM kernel as
+    /// Single segments run through the same row-lane kernel as
     /// [`Prototypes::assign_all`] with `n = 1`, so one-off and bulk
-    /// assignment can never disagree.
+    /// assignment can never disagree. To assign many segments, stack them
+    /// and call [`Prototypes::assign_all`] once.
     pub fn assign(&self, segment: &[f32]) -> usize {
         assert_eq!(
             segment.len(),
@@ -272,45 +270,35 @@ impl Prototypes {
             segment.len(),
             self.segment_len()
         );
-        let seg = Tensor::from_vec(segment.to_vec(), &[1, segment.len()]);
-        let mut out = [(0usize, 0.0f32)];
-        assign_batched(
-            &SegmentStats::new(&seg, &self.objective),
-            &CenterCache::new(&self.centers, &self.objective),
-            &mut out,
-        );
-        out[0].0
+        self.assign_all(&Tensor::from_vec(segment.to_vec(), &[1, segment.len()]))[0]
     }
 
     /// Assigns every row of `segments: [n, p]`, returning the bucket index
     /// per segment.
     ///
-    /// Computes the full `[n, k]` composite-distance matrix with two tiled
-    /// GEMMs (`X·Cᵀ` on raw and on centred-normalised rows — see
-    /// [`crate::batch`]) instead of a scalar pair loop. Distances agree with
+    /// Runs the row-lane kernel (see [`crate::batch`]): sixteen segments at
+    /// a time against every prototype, keeping a running per-segment
+    /// minimum instead of a distance matrix. Distances agree with
     /// [`Prototypes::assign_all_scalar`] to f32 roundoff, argmins whenever
     /// the best/second-best margin exceeds it, and exact ties break to the
     /// lowest index on both paths. Identical at any thread count.
     pub fn assign_all(&self, segments: &Tensor) -> Vec<usize> {
-        let n = segments.dims()[0];
-        let mut nearest = vec![(0usize, 0.0f32); n];
-        assign_batched(
-            &SegmentStats::new(segments, &self.objective),
-            &CenterCache::new(&self.centers, &self.objective),
-            &mut nearest,
-        );
-        nearest.into_iter().map(|(j, _)| j).collect()
+        let seg = SegmentStats::new(segments, &self.objective);
+        let (mut idx, mut dist) = (vec![0u32; seg.padded_rows()], vec![0.0f32; seg.padded_rows()]);
+        assign_nearest(&seg, &self.cache, &mut idx, &mut dist);
+        idx[..segments.dims()[0]].iter().map(|&j| j as usize).collect()
     }
 
     /// Scalar-oracle assignment sweep: a straight per-pair
     /// [`Objective::distance`] loop with f64 accumulation. Kept as the
-    /// ground-truth reference for the GEMM path (property tests, benchmark
-    /// baselines); prefer [`Prototypes::assign_all`] everywhere else.
+    /// ground-truth reference for the row-lane kernel (property tests,
+    /// benchmark baselines); prefer [`Prototypes::assign_all`] everywhere
+    /// else.
     pub fn assign_all_scalar(&self, segments: &Tensor) -> Vec<usize> {
         assert_eq!(segments.rank(), 2, "segments must be [n, p]");
         let n = segments.dims()[0];
         let mut out = vec![0usize; n];
-        let grain = assign_grain(self.k() * self.segment_len());
+        let grain = sweep_grain(self.k() * self.segment_len());
         par::parallel_fill(&mut out, grain, |range, chunk| {
             for (i, o) in range.zip(chunk.iter_mut()) {
                 *o = nearest_center(segments.row(i), &self.centers, self.k(), &self.objective).0;
@@ -320,12 +308,9 @@ impl Prototypes {
     }
 
     /// The full `[n, k]` composite-distance matrix from every row of
-    /// `segments` to every prototype, via the batched GEMM kernel.
+    /// `segments` to every prototype, via the row-lane kernel.
     pub fn distances(&self, segments: &Tensor) -> Tensor {
-        distance_matrix(
-            &SegmentStats::new(segments, &self.objective),
-            &CenterCache::new(&self.centers, &self.objective),
-        )
+        distance_matrix(&SegmentStats::new(segments, &self.objective), &self.cache)
     }
 
     /// The distance from `segment` to its nearest prototype.
@@ -337,9 +322,9 @@ impl Prototypes {
 
 /// k-means++ seeding under the composite distance.
 ///
-/// Each new center's moments are computed once per sweep and every
-/// segment's come from the cache, so each distance is bitwise-equal to
-/// [`Objective::distance`] and the picks match the uncached sweep exactly.
+/// Each sweep is the row-lane tile walk in f64 lanes ([`kpp_sweep`]), whose
+/// distances are bitwise-equal to [`Objective::distance`], so the picks
+/// match a per-row sweep exactly.
 fn kmeans_pp_init(seg: &SegmentStats, k: usize, rng: &mut StdRng) -> Tensor {
     let segments = seg.segments;
     let (n, p) = (segments.dims()[0], segments.dims()[1]);
@@ -347,19 +332,14 @@ fn kmeans_pp_init(seg: &SegmentStats, k: usize, rng: &mut StdRng) -> Tensor {
     let first = rng.gen_range(0..n);
     centers.data_mut()[..p].copy_from_slice(segments.row(first));
 
-    // Distance sweeps below are per-segment independent (parallel, bitwise
+    // Distance sweeps are per-segment independent (parallel, bitwise
     // identical to serial); the weighted pick itself stays serial so the RNG
     // stream and the f64 prefix scan keep their exact order.
-    let grain = assign_grain(p);
-    let mut dists = vec![0.0f32; n];
-    let cm = seg.center_moments(centers.row(0));
-    par::parallel_fill(&mut dists, grain, |range, chunk| {
-        for (i, d) in range.zip(chunk.iter_mut()) {
-            *d = seg.distance(i, centers.row(0), cm.as_ref());
-        }
-    });
+    let mut padded = vec![0.0f32; seg.padded_rows()];
+    kpp_sweep(seg, centers.row(0), true, &mut padded);
 
     for j in 1..k {
+        let dists = &padded[..n];
         let total: f64 = dists.iter().map(|&d| d.max(0.0) as f64).sum();
         let pick = if total <= f64::EPSILON {
             rng.gen_range(0..n)
@@ -376,16 +356,7 @@ fn kmeans_pp_init(seg: &SegmentStats, k: usize, rng: &mut StdRng) -> Tensor {
             chosen
         };
         centers.data_mut()[j * p..(j + 1) * p].copy_from_slice(segments.row(pick));
-        let center = centers.row(j);
-        let cm = seg.center_moments(center);
-        par::parallel_rows(&mut dists, 1, grain, 1, |i0, chunk| {
-            for (off, d) in chunk.iter_mut().enumerate() {
-                let nd = seg.distance(i0 + off, center, cm.as_ref());
-                if nd < *d {
-                    *d = nd;
-                }
-            }
-        });
+        kpp_sweep(seg, centers.row(j), false, &mut padded);
     }
     centers
 }
@@ -440,19 +411,12 @@ impl BucketSums {
     fn new(seg: &SegmentStats, assignment: &[usize], k: usize, with_unit: bool) -> BucketSums {
         let p = seg.segments.dims()[1];
         let mut counts = vec![0usize; k];
+        for &a in assignment {
+            counts[a] += 1;
+        }
         let mut sums = vec![0.0f64; k * p];
         let mut unit_sums = vec![0.0f64; if with_unit { k * p } else { 0 }];
-        for (i, &a) in assignment.iter().enumerate() {
-            counts[a] += 1;
-            for (s, &v) in sums[a * p..(a + 1) * p].iter_mut().zip(seg.segments.row(i)) {
-                *s += v as f64;
-            }
-            if with_unit {
-                for (s, &u) in unit_sums[a * p..(a + 1) * p].iter_mut().zip(seg.unit_row(i)) {
-                    *s += u as f64;
-                }
-            }
-        }
+        seg.add_to_buckets(assignment, &mut sums, with_unit.then_some(&mut unit_sums[..]));
         BucketSums {
             p,
             counts,
@@ -829,6 +793,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-row k-means++ sweep the lane kernel replaced: one
+    /// [`SegmentStats::distance`] call per segment per new center.
+    fn kmeans_pp_per_row(seg: &SegmentStats, k: usize, rng: &mut StdRng) -> Tensor {
+        let segments = seg.segments;
+        let (n, p) = (segments.dims()[0], segments.dims()[1]);
+        let mut centers = Tensor::zeros(&[k, p]);
+        let first = rng.gen_range(0..n);
+        centers.data_mut()[..p].copy_from_slice(segments.row(first));
+        let cm = seg.center_moments(centers.row(0));
+        let mut dists: Vec<f32> = (0..n).map(|i| seg.distance(i, centers.row(0), cm.as_ref())).collect();
+        for j in 1..k {
+            let total: f64 = dists.iter().map(|&d| d.max(0.0) as f64).sum();
+            let pick = if total <= f64::EPSILON {
+                rng.gen_range(0..n)
+            } else {
+                let mut target = rng.gen::<f64>() * total;
+                let mut chosen = n - 1;
+                for (i, &d) in dists.iter().enumerate() {
+                    target -= d.max(0.0) as f64;
+                    if target <= 0.0 {
+                        chosen = i;
+                        break;
+                    }
+                }
+                chosen
+            };
+            centers.data_mut()[j * p..(j + 1) * p].copy_from_slice(segments.row(pick));
+            let cm = seg.center_moments(centers.row(j));
+            for (i, d) in dists.iter_mut().enumerate() {
+                let nd = seg.distance(i, centers.row(j), cm.as_ref());
+                if nd < *d {
+                    *d = nd;
+                }
+            }
+        }
+        centers
+    }
+
+    #[test]
+    fn kmeans_pp_lanes_pick_the_per_row_centers() {
+        // Row counts off the tile grid, constant rows (large magnitude
+        // included), both objectives and several RNG streams.
+        let (mut segs, _) = planted(67, 12);
+        segs.data_mut()[..12].fill(1.0e8);
+        segs.data_mut()[5 * 12..6 * 12].fill(-3.0);
+        for objective in [Objective::RecOnly, Objective::rec_corr(0.2), Objective::rec_corr(2.0)] {
+            let seg = SegmentStats::new(&segs, &objective);
+            for seed in 0..6u64 {
+                let lanes = kmeans_pp_init(&seg, 9, &mut StdRng::seed_from_u64(seed));
+                let rows = kmeans_pp_per_row(&seg, 9, &mut StdRng::seed_from_u64(seed));
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&lanes), bits(&rows), "{objective:?} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn fit_is_thread_count_invariant_off_the_tile_grid() {
+        // 1 001 segments: not a multiple of the lane count, so the last
+        // tile is partial and thread blocks split at tile boundaries.
+        let _g = par::threads_guard();
+        let mut rng = StdRng::seed_from_u64(32);
+        let segs = Tensor::randn(&[1_001, 8], 1.0, &mut rng);
+        for objective in [Objective::RecOnly, Objective::rec_corr(0.2)] {
+            let cfg = ClusterConfig::new(7, 8).with_objective(objective).with_max_iters(5);
+            par::set_threads(1);
+            let (serial, serial_trace) = cfg.fit_traced(&segs, 33);
+            for threads in [2, 4] {
+                par::set_threads(threads);
+                let (t, trace) = cfg.fit_traced(&segs, 33);
+                assert_eq!(t.centers().data(), serial.centers().data(), "{objective:?} at {threads} threads");
+                assert_eq!(trace.loss_per_iter, serial_trace.loss_per_iter, "{objective:?} at {threads} threads");
+            }
+        }
+        par::set_threads(0);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use focus_cluster::{segment_matrix, ClusterConfig, Objective, ProtoUpdate, Prototypes};
 use focus_tensor::Tensor;
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 fn segments(n: usize, p: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-5.0f32..5.0, n * p).prop_map(move |v| Tensor::from_vec(v, &[n, p]))
@@ -101,7 +102,8 @@ proptest! {
         // loop's assignment step and the k-means++ init also run on the pool
         // — bit-for-bit identical fitted prototypes at every thread count.
         // (900 segments is past the sweep's parallel grain, so threads > 1
-        // genuinely engage.)
+        // genuinely engage, and not a whole number of 16-row lane tiles, so
+        // the last tile is partial.)
         let cfg = ClusterConfig::new(5, 6).with_max_iters(4);
         // Serialise the process-global thread override against other tests.
         let _g = focus_tensor::par::threads_guard();
@@ -126,10 +128,10 @@ proptest! {
         centers in segments(5, 9),
         alpha in 0.0f32..1.0,
     ) {
-        // The batched two-GEMM distance kernel (‖x‖² − 2x·c + ‖c‖² plus the
-        // normalised-dot correlation term) must agree with the scalar
-        // per-pair oracle to f32 roundoff, and pick the same argmin whenever
-        // the scalar best/second-best margin exceeds that roundoff.
+        // The row-lane distance kernel (‖x‖² − 2x·c + ‖c‖² plus the
+        // normalised-dot correlation term, f32 dots) must agree with the
+        // scalar per-pair oracle to f32 roundoff, and pick the same argmin
+        // whenever the scalar best/second-best margin exceeds that roundoff.
         let objective = if alpha < 0.05 { Objective::RecOnly } else { Objective::rec_corr(alpha) };
         let protos = Prototypes::from_centers(centers, objective);
         let d = protos.distances(&segs);
@@ -145,7 +147,7 @@ proptest! {
                 tol_max = tol_max.max(tol);
                 prop_assert!(
                     (d.at2(i, j) - s).abs() <= tol,
-                    "d[{i},{j}] gemm {} vs scalar {s}", d.at2(i, j)
+                    "d[{i},{j}] kernel {} vs scalar {s}", d.at2(i, j)
                 );
             }
             let best = (0..5).min_by(|&a, &b| scalar[a].partial_cmp(&scalar[b]).unwrap()).unwrap();
@@ -156,7 +158,7 @@ proptest! {
             if runner_up > 2.0 * tol_max {
                 prop_assert_eq!(
                     assigned_i, best,
-                    "row {} (margin {}): gemm argmin diverged from scalar", i, runner_up
+                    "row {} (margin {}): kernel argmin diverged from scalar", i, runner_up
                 );
             }
         }
@@ -165,7 +167,7 @@ proptest! {
     #[test]
     fn gemm_and_scalar_sweeps_agree_on_separated_data(shift in 2.0f32..6.0, seed in 0u64..1 << 16) {
         // On data with real cluster structure (no engineered near-ties) the
-        // GEMM sweep and the scalar oracle sweep must assign identically.
+        // lane kernel and the scalar oracle sweep must assign identically.
         let mut data = Vec::new();
         for c in 0..4 {
             for s in 0..24 {
@@ -188,7 +190,7 @@ proptest! {
     ) {
         // Constant (zero-variance) rows previously slipped past the
         // normalisation guard at large magnitudes, feeding noise-only unit
-        // vectors into the correlation GEMM. Every distance must now be
+        // vectors into the correlation dot. Every distance must now be
         // finite and agree with the scalar oracle to f32 roundoff of the
         // *cancelled* terms (‖x‖² and ‖c‖², not the small result), and the
         // two sweeps must assign identically wherever the scalar margin
@@ -207,11 +209,11 @@ proptest! {
                 *s = objective.distance(segs.row(i), protos.centers().row(j));
                 prop_assert!(s.is_finite(), "scalar d[{}, {}] not finite: {}", i, j, s);
                 let g = d.at2(i, j);
-                prop_assert!(g.is_finite(), "gemm d[{}, {}] not finite: {}", i, j, g);
+                prop_assert!(g.is_finite(), "kernel d[{}, {}] not finite: {}", i, j, g);
                 let tol = 1e-4 * ((x2 + sq(protos.centers().row(j))) as f32).max(1.0);
                 prop_assert!(
                     (g - *s).abs() <= tol,
-                    "d[{}, {}]: gemm {} vs scalar {} (tol {})", i, j, g, s, tol
+                    "d[{}, {}]: kernel {} vs scalar {} (tol {})", i, j, g, s, tol
                 );
                 tol_max = tol_max.max(tol);
             }
@@ -221,7 +223,7 @@ proptest! {
                 .map(|j| scalar[j] - scalar[best])
                 .fold(f32::INFINITY, f32::min);
             if margin > 2.0 * tol_max {
-                prop_assert_eq!(assigned[i], best, "row {} (margin {}): gemm argmin diverged", i, margin);
+                prop_assert_eq!(assigned[i], best, "row {} (margin {}): kernel argmin diverged", i, margin);
                 prop_assert_eq!(scalar_assigned[i], best, "row {} (margin {}): scalar argmin diverged", i, margin);
             }
         }
@@ -230,16 +232,71 @@ proptest! {
     #[test]
     fn duplicate_prototypes_tie_break_to_lowest_index(segs in segments(20, 6)) {
         // Bit-identical distance columns (duplicated centers) must resolve to
-        // the lowest index on both the GEMM and the scalar path.
-        let proto_row: Vec<f32> = segs.row(0).to_vec();
-        let mut stacked = Vec::new();
-        for _ in 0..3 {
-            stacked.extend_from_slice(&proto_row);
-        }
-        let protos = Prototypes::from_centers(Tensor::from_vec(stacked, &[3, 6]), Objective::rec_corr(0.2));
-        let gemm = protos.assign_all(&segs);
+        // the lowest index on both the lane kernel and the scalar path —
+        // five copies span one four-center pass plus a remainder center.
+        let stacked = segs.row(0).repeat(5);
+        let protos = Prototypes::from_centers(Tensor::from_vec(stacked, &[5, 6]), Objective::rec_corr(0.2));
+        let lanes = protos.assign_all(&segs);
         let scalar = protos.assign_all_scalar(&segs);
-        prop_assert!(gemm.iter().all(|&j| j == 0), "gemm path broke the tie upward: {gemm:?}");
-        prop_assert_eq!(gemm, scalar);
+        prop_assert!(lanes.iter().all(|&j| j == 0), "lane kernel broke the tie upward: {lanes:?}");
+        prop_assert_eq!(lanes, scalar);
     }
+
+    #[test]
+    fn assign_all_is_the_first_minimum_of_distances(
+        n in 1usize..40,
+        k in 1usize..10,
+        p in 1usize..12,
+        alpha in 0.0f32..1.5,
+        seed in 0u64..1 << 16,
+    ) {
+        // Both kernel entry points compute the same lane distances, so the
+        // assignment must be exactly the first strict minimum of each row of
+        // the distance matrix, for any row count on or off the tile grid.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let segs = Tensor::randn(&[n, p], 1.0, &mut rng);
+        let centers = Tensor::randn(&[k, p], 1.0, &mut rng);
+        let objective = if alpha < 0.05 { Objective::RecOnly } else { Objective::rec_corr(alpha) };
+        let protos = Prototypes::from_centers(centers, objective);
+        let d = protos.distances(&segs);
+        let assigned = protos.assign_all(&segs);
+        for (i, &a) in assigned.iter().enumerate() {
+            let mut best = (0usize, f32::INFINITY);
+            for j in 0..k {
+                if d.at2(i, j) < best.1 {
+                    best = (j, d.at2(i, j));
+                }
+            }
+            prop_assert_eq!(a, best.0, "row {} of {}", i, n);
+            prop_assert_eq!(protos.assign(segs.row(i)), a, "single-segment assign of row {}", i);
+        }
+    }
+
+    #[test]
+    fn reconstruction_assigns_like_single_segments(segs in segments(24, 6)) {
+        // `reconstruct_row` assigns all of a row's segments in one batch;
+        // each must be exactly the single-segment assignment.
+        let protos = ClusterConfig::new(3, 6).with_max_iters(4).fit(&segs, 6);
+        let row = segs.data();
+        let report = focus_cluster::reconstruct_row(row, &protos);
+        let single: Vec<usize> = row.chunks_exact(6).map(|seg| protos.assign(seg)).collect();
+        prop_assert_eq!(report.assignments, single);
+    }
+}
+
+#[test]
+fn nan_segments_keep_the_first_prototype() {
+    // Under a correlation objective every distance of a NaN segment is NaN,
+    // which never wins the strict `<` scan: the segment stays on bucket 0,
+    // on the lane kernel and the scalar oracle alike.
+    let mut data: Vec<f32> = (0..20 * 4).map(|v| (v as f32 * 0.37).sin()).collect();
+    data[7 * 4 + 1] = f32::NAN;
+    data[19 * 4..].fill(f32::NAN);
+    let segs = Tensor::from_vec(data, &[20, 4]);
+    let centers = Tensor::from_vec((0..3 * 4).map(|v| (v as f32 * 0.91).cos() + 0.5).collect(), &[3, 4]);
+    let protos = Prototypes::from_centers(centers, Objective::rec_corr(0.2));
+    let lanes = protos.assign_all(&segs);
+    assert_eq!(lanes[7], 0);
+    assert_eq!(lanes[19], 0);
+    assert_eq!(lanes, protos.assign_all_scalar(&segs));
 }

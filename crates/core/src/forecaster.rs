@@ -262,15 +262,18 @@ pub trait Forecaster {
     /// # Panics
     /// If the split holds no full window.
     fn evaluate(&self, ds: &MtsDataset, split: Split, stride: usize) -> Metrics {
-        let windows = ds.windows(split, self.lookback(), self.horizon(), stride);
-        assert!(!windows.is_empty(), "no evaluation windows in {split:?}");
+        let (lookback, horizon) = (self.lookback(), self.horizon());
+        // Windows are cut one at a time, so only one is ever resident.
+        let starts = ds.window_starts(split, lookback, horizon, stride);
+        assert!(!starts.is_empty(), "no evaluation windows in {split:?}");
         let mut m = Metrics::new();
         // Inference-only plan: after two observed forwards the remaining
         // windows replay without graph construction. Bitwise-identical to
         // the interpreted forward, so metrics are unchanged.
         let mut pcache = PlanCache::new();
         let mut g = Graph::new();
-        for w in &windows {
+        for start in starts {
+            let w = ds.window_at(start, lookback, horizon);
             let (x_norm, stats) = instance_norm(&w.x);
             let plans_on = pcache.active();
             let routes: Vec<Vec<u32>> =
@@ -423,6 +426,36 @@ mod tests {
         let planned = model.evaluate(&ds, Split::Test, 24);
         assert_eq!(base.mse().to_bits(), planned.mse().to_bits());
         assert_eq!(base.mae().to_bits(), planned.mae().to_bits());
+    }
+
+    #[test]
+    fn streamed_evaluation_equals_materialised_windows() {
+        use crate::model::{Focus, FocusConfig};
+        use focus_data::{Benchmark, MtsDataset};
+        let ds = MtsDataset::generate(Benchmark::Pems08.scaled(4, 1_200), 5);
+        let mut cfg = FocusConfig::new(48, 12);
+        cfg.segment_len = 8;
+        cfg.n_prototypes = 4;
+        cfg.d = 12;
+        cfg.cluster_iters = 4;
+        let mut model = Focus::fit_offline(&ds, cfg, 3);
+        model.train(
+            &ds,
+            &TrainOptions {
+                epochs: 1,
+                max_windows: 8,
+                ..Default::default()
+            },
+        );
+        for (split, stride) in [(Split::Test, 24), (Split::Val, 7)] {
+            let streamed = model.evaluate(&ds, split, stride);
+            let mut materialised = Metrics::new();
+            for w in ds.windows(split, 48, 12, stride) {
+                materialised.update(&model.predict(&w.x), &w.y);
+            }
+            assert_eq!(streamed.mse().to_bits(), materialised.mse().to_bits(), "{split:?} MSE");
+            assert_eq!(streamed.mae().to_bits(), materialised.mae().to_bits(), "{split:?} MAE");
+        }
     }
 
     #[test]

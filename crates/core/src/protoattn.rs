@@ -121,7 +121,7 @@ impl RoutingPlan {
 impl Assignment {
     /// Nearest-prototype index per segment slot of `segments: [B, l, p]`,
     /// flat `[B·l]` — the sparse form of the hard one-hot matrix, computed
-    /// with the batched GEMM assignment kernel.
+    /// with the row-lane nearest-prototype kernel.
     pub fn indices(segments: &Tensor, prototypes: &Prototypes) -> Vec<u32> {
         let (b, l, p) = check_segments(segments, prototypes);
         prototypes
@@ -135,8 +135,8 @@ impl Assignment {
     /// prototypes (Algorithm 2, lines 1–4).
     ///
     /// This runs outside the autograd graph: routing is data, not a
-    /// trainable quantity. Both variants evaluate Eq. 6 through the batched
-    /// GEMM distance kernel rather than a per-pair scalar loop.
+    /// trainable quantity. Both variants evaluate Eq. 6 through the row-lane
+    /// distance kernel rather than a per-pair scalar loop.
     pub fn plan(&self, segments: &Tensor, prototypes: &Prototypes) -> RoutingPlan {
         focus_trace::span!("model/routing");
         let (b, l, p) = check_segments(segments, prototypes);
@@ -333,16 +333,17 @@ impl ProtoAttn {
             params: 0,
             peak_mem_bytes: ((b * k * l).max(b * l * self.d) * 4) as u64,
         };
-        // Assignment via the batched two-GEMM distance kernel: 2·(2·l·k·p)
-        // GEMM flops plus centring/normalisation (~6·l·p) and the distance
-        // epilogue (~4·l·k). Live scratch is two [block, k] distance tiles
-        // plus the flat index vector — the [b, l, k] one-hot is never
-        // materialised on the hard path.
-        let block = (b * l).min(4096);
+        // Assignment via the row-lane kernel: 2·(2·l·k·p) dot flops plus
+        // centring/normalisation (~6·l·p) and the distance epilogue
+        // (~4·l·k). Live scratch per segment: its raw and centred-normalised
+        // copies in lane tiles (2·p f32), its f64 mean and norm plus a flag
+        // (17 bytes) and its nearest index and distance (2 × 4 bytes) —
+        // nothing of size k, and the [b, l, k] one-hot is never materialised
+        // on the hard path.
         let assign = CostReport {
             flops: (4 * b * l * k * p + 6 * b * l * p + 4 * b * l * k) as u64,
             params: 0,
-            peak_mem_bytes: (2 * block * k * 4 + b * l * 4) as u64,
+            peak_mem_bytes: (b * l * (2 * p * 4 + 17 + 2 * 4)) as u64,
         };
         proto_proj + kv_proj + attn + assign
     }
